@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <future>
 #include <mutex>
@@ -16,18 +17,108 @@
 
 namespace staratlas {
 
-/// One recycled unit of streaming work: a batch arena plus everything a
-/// worker accumulates for it, kept per-slot so the committer can merge
-/// batches in stream order.
+/// One recycled unit of in-flight work: the accumulators of one chunk or
+/// batch, kept per slot so the committer can merge units in input order.
+/// Stream mode also fills the batch arena and batch-local outcomes; memory
+/// mode writes outcomes straight into the run.
 struct AlignmentEngine::StreamSlot {
   ReadBatch batch;
   std::vector<ReadOutcome> outcomes;  ///< batch-local, index-aligned
-  MappingStats stats;
-  GeneCountsTable counts;  ///< sized num_genes when quant is on
-  std::unique_ptr<JunctionCollector> junctions;
+  ChunkSink sink;
   u64 seq = 0;         ///< batch sequence number in stream order
   u64 first_read = 0;  ///< global index of the batch's first read
 };
+
+namespace {
+
+/// Zeroes a counts table in place, keeping per_gene capacity.
+void reset_counts(GeneCountsTable& counts) {
+  std::fill(counts.per_gene.begin(), counts.per_gene.end(), u64{0});
+  counts.n_unmapped = 0;
+  counts.n_multimapping = 0;
+  counts.n_no_feature = 0;
+  counts.n_ambiguous = 0;
+}
+
+/// The commit point both execution bodies share. Work units (memory
+/// chunks, stream batches) are aligned in any order but committed here
+/// strictly in input order, serialized by the caller. So the merged
+/// totals, every progress snapshot and the read count an abort lands on
+/// are the same at every thread count.
+class OrderedCommit {
+ public:
+  OrderedCommit(AlignmentRun& run, const GenomeIndex& index,
+                const EngineConfig& config, u64 total_reads,
+                const ProgressCallback& callback,
+                std::chrono::steady_clock::time_point wall_start)
+      : run_(run),
+        callback_(callback),
+        wall_start_(wall_start),
+        quant_(config.quant_gene_counts),
+        collect_junctions_(config.collect_junctions),
+        junctions_(index, config.junction_min_intron),
+        tracker_(total_reads),
+        check_interval_(config.progress_check_interval
+                            ? config.progress_check_interval
+                            : std::max<u64>(1, total_reads / 50)),
+        next_check_(check_interval_) {}
+
+  /// Merges the next unit in input order, then takes the progress
+  /// checkpoint (and the callback's abort decision) if it crossed one.
+  /// Once the run is aborted it merges nothing and returns false. The
+  /// callback runs under the caller's lock on purpose: its abort must be
+  /// known before the next unit commits.
+  bool commit(const ChunkSink& unit) {
+    if (aborted()) return false;
+    run_.stats += unit.stats;
+    tracker_.add(unit.stats);
+    if (quant_) run_.gene_counts += unit.counts;
+    if (unit.junctions) junctions_ += *unit.junctions;
+    if (callback_ && tracker_.processed() >= next_check_) {
+      const ProgressSnapshot snap = tracker_.snapshot(elapsed_secs());
+      // Advance past every boundary this unit crossed so one large unit
+      // produces one log row, not several duplicates.
+      next_check_ = (snap.processed / check_interval_ + 1) * check_interval_;
+      run_.progress_log.append(snap);
+      if (callback_(snap) == EngineCommand::kAbort) abort();
+    }
+    return true;
+  }
+
+  /// Read lock-free by workers and the stream producer to stop early.
+  bool aborted() const { return abort_.load(std::memory_order_relaxed); }
+  void abort() { abort_.store(true, std::memory_order_relaxed); }
+
+  /// Seals the run: abort flag, wall time, junction list, final snapshot.
+  void finish() {
+    run_.aborted = aborted();
+    run_.wall_seconds = elapsed_secs();
+    if (collect_junctions_) run_.junctions = junctions_.junctions();
+    if (!run_.progress_log.entries().empty() || !callback_) {
+      run_.progress_log.append(tracker_.snapshot(run_.wall_seconds));
+    }
+  }
+
+ private:
+  double elapsed_secs() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         wall_start_)
+        .count();
+  }
+
+  AlignmentRun& run_;
+  const ProgressCallback& callback_;
+  const std::chrono::steady_clock::time_point wall_start_;
+  const bool quant_;
+  const bool collect_junctions_;
+  JunctionCollector junctions_;
+  ProgressTracker tracker_;
+  const u64 check_interval_;
+  u64 next_check_;
+  std::atomic<bool> abort_{false};
+};
+
+}  // namespace
 
 AlignmentEngine::AlignmentEngine(const GenomeIndex& index,
                                  const Annotation* annotation,
@@ -55,111 +146,92 @@ void AlignmentEngine::ensure_workers() {
 void AlignmentEngine::ensure_stream_slots(usize count) {
   while (stream_slots_.size() < count) {
     auto slot = std::make_unique<StreamSlot>();
-    if (counter_) slot->counts = GeneCountsTable(annotation_->num_genes());
-    if (config_.collect_junctions) {
-      slot->junctions = std::make_unique<JunctionCollector>(
-          *index_, config_.junction_min_intron);
-    }
+    slot->sink = make_chunk_sink();
     stream_slots_.push_back(std::move(slot));
   }
 }
 
 AlignmentRun AlignmentEngine::run_memory(const ReadSet& reads,
-                                  const ProgressCallback& callback) {
+                                         const ProgressCallback& callback) {
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
   run.outcomes.assign(reads.size(), ReadOutcome::kUnmapped);
-  // Pre-size like run_stream: worker tables merge under the strict
+  // Pre-size like run_stream: unit tables merge under the strict
   // equal-dimension contract of GeneCountsTable::operator+=.
   if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
   if (reads.empty()) return run;
 
   ensure_workers();
+  // The reorder window: a chunk holds its slot's accumulators from claim
+  // to commit, so at most nslots chunks are in flight.
+  const usize nslots = config_.num_threads + 2;
+  ensure_stream_slots(nslots);
+  OrderedCommit ledger(run, *index_, config_, reads.size(), callback,
+                       wall_start);
+  const usize chunk_size = config_.chunk_size;
+  const usize num_chunks = (reads.size() + chunk_size - 1) / chunk_size;
 
-  const u64 check_interval = config_.progress_check_interval
-                                 ? config_.progress_check_interval
-                                 : std::max<u64>(1, reads.size() / 50);
-
-  const Aligner aligner(*index_, config_.params);
-  const GeneCounter* counter = counter_.get();
-
-  JunctionCollector merged_junctions(*index_, config_.junction_min_intron);
-  ProgressTracker tracker(reads.size());
-  const usize num_chunks =
-      (reads.size() + config_.chunk_size - 1) / config_.chunk_size;
-
-  std::atomic<usize> next_chunk{0};
+  // Claim and commit state, all guarded by commit_mu. Workers claim chunks
+  // in input order, align them unlocked (outcomes in place, accumulators
+  // into slot chunk % nslots), then mark them ready; the ready ring drains
+  // strictly in chunk order. A claim waits while nslots chunks are
+  // uncommitted, so no slot is reused before its last chunk committed.
+  std::mutex commit_mu;
+  std::condition_variable window_open;
+  std::vector<char> ready(nslots, 0);
+  usize next_chunk = 0;
+  usize commit_next = 0;
+  std::exception_ptr worker_error;
   std::atomic<usize> next_worker_slot{0};
-  std::atomic<bool> abort_flag{false};
-  std::mutex merge_mu;
-  // Next checkpoint boundary. Workers pre-check it lock-free after every
-  // chunk; merge_mu is only taken when a boundary has actually been
-  // crossed, instead of on every chunk as before.
-  std::atomic<u64> next_check{check_interval};
 
-  auto elapsed_secs = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
+  auto chunk_begin = [&](usize chunk) { return chunk * chunk_size; };
+  auto chunk_end = [&](usize chunk) {
+    return std::min(chunk_begin(chunk) + chunk_size, reads.size());
+  };
+
+  auto align_chunks = [&](usize worker_slot) {
+    std::unique_lock lock(commit_mu);
+    for (;;) {
+      window_open.wait(lock, [&] {
+        return ledger.aborted() || next_chunk >= num_chunks ||
+               next_chunk < commit_next + nslots;
+      });
+      if (ledger.aborted() || next_chunk >= num_chunks) return;
+      const usize chunk = next_chunk++;
+      lock.unlock();
+      const usize begin = chunk_begin(chunk);
+      const usize end = chunk_end(chunk);
+      align_chunk(reads, begin, end, worker_slot,
+                  stream_slots_[chunk % nslots]->sink,
+                  std::span(run.outcomes).subspan(begin, end - begin));
+      lock.lock();
+      ready[chunk % nslots] = 1;
+      const usize committed_before = commit_next;
+      while (ready[commit_next % nslots]) {
+        const usize done = commit_next++;
+        ready[done % nslots] = 0;
+        if (!ledger.commit(stream_slots_[done % nslots]->sink)) {
+          // Aligned past the abort: not part of the run.
+          std::fill(run.outcomes.begin() + chunk_begin(done),
+                    run.outcomes.begin() + chunk_end(done),
+                    ReadOutcome::kUnmapped);
+        }
+      }
+      if (commit_next != committed_before) window_open.notify_all();
+    }
   };
 
   auto worker = [&] {
-    AlignWorkspace& ws =
-        *workspaces_[next_worker_slot.fetch_add(1) % workspaces_.size()];
-    MappingStats local_stats;
-    GeneCountsTable local_counts(counter ? annotation_->num_genes() : 0);
-    JunctionCollector local_junctions(*index_, config_.junction_min_intron);
-    for (;;) {
-      if (abort_flag.load(std::memory_order_relaxed)) break;
-      const usize chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      const usize begin = chunk * config_.chunk_size;
-      const usize end = std::min(begin + config_.chunk_size, reads.size());
-
-      MappingStats chunk_stats;
-      const usize count = end - begin;
-      AlignBatchLanes& lanes = ws.batch;
-      lanes.views.clear();
-      for (usize r = begin; r < end; ++r) {
-        lanes.views.push_back(reads.reads[r].sequence);
-      }
-      if (lanes.results.size() < count) lanes.results.resize(count);
-      aligner.align_batch(lanes.views, ws, chunk_stats,
-                          std::span(lanes.results).first(count));
-      for (usize r = begin; r < end; ++r) {
-        const ReadAlignment& result = lanes.results[r - begin];
-        chunk_stats.add_outcome(result.outcome);
-        run.outcomes[r] = result.outcome;
-        if (counter) counter->count(result, local_counts);
-        if (config_.collect_junctions) local_junctions.add(result);
-      }
-      local_stats += chunk_stats;
-      tracker.add(chunk_stats);
-
-      // Progress checkpoint: lock-free boundary pre-check, serialized
-      // snapshot + callback only on actual crossings.
-      if (callback &&
-          tracker.processed() >= next_check.load(std::memory_order_relaxed)) {
-        std::lock_guard lock(merge_mu);
-        const ProgressSnapshot snap = tracker.snapshot(elapsed_secs());
-        if (snap.processed >= next_check.load(std::memory_order_relaxed) &&
-            !abort_flag.load()) {
-          // Advance past every boundary this snapshot crossed so a single
-          // large chunk produces one log row, not several duplicates.
-          next_check.store(
-              (snap.processed / check_interval + 1) * check_interval,
-              std::memory_order_relaxed);
-          run.progress_log.append(snap);
-          if (callback(snap) == EngineCommand::kAbort) {
-            abort_flag.store(true, std::memory_order_relaxed);
-          }
-        }
-      }
+    try {
+      align_chunks(next_worker_slot.fetch_add(1) % workspaces_.size());
+    } catch (...) {
+      // A failed chunk never commits: stop the run and wake every claim
+      // waiting on the window so all workers can drain and exit.
+      std::lock_guard lock(commit_mu);
+      if (!worker_error) worker_error = std::current_exception();
+      ledger.abort();
+      window_open.notify_all();
     }
-    std::lock_guard lock(merge_mu);
-    run.stats += local_stats;
-    if (counter) run.gene_counts += local_counts;
-    if (config_.collect_junctions) merged_junctions += local_junctions;
   };
 
   if (config_.num_threads == 1) {
@@ -173,28 +245,13 @@ AlignmentRun AlignmentEngine::run_memory(const ReadSet& reads,
       futures.push_back(pool_->submit(worker));
     }
     for (auto& f : futures) f.wait();  // all workers park before unwinding
-    for (auto& f : futures) f.get();   // then rethrow the first failure
+    for (auto& f : futures) f.get();
   }
+  if (worker_error) std::rethrow_exception(worker_error);
 
-  run.aborted = abort_flag.load();
-  run.wall_seconds = elapsed_secs();
-  if (config_.collect_junctions) run.junctions = merged_junctions.junctions();
-  if (!run.progress_log.entries().empty() || !callback) {
-    run.progress_log.append(tracker.snapshot(run.wall_seconds));
-  }
+  ledger.finish();
   return run;
 }
-
-namespace {
-/// Zeroes a counts table in place, keeping per_gene capacity.
-void reset_counts(GeneCountsTable& counts) {
-  std::fill(counts.per_gene.begin(), counts.per_gene.end(), u64{0});
-  counts.n_unmapped = 0;
-  counts.n_multimapping = 0;
-  counts.n_no_feature = 0;
-  counts.n_ambiguous = 0;
-}
-}  // namespace
 
 usize AlignmentEngine::prepare_worker_slots() {
   // Workspaces only — the external scheduler brings its own threads, so
@@ -221,18 +278,23 @@ void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
   STARATLAS_CHECK(slot < workspaces_.size());
   STARATLAS_CHECK(begin <= end && end <= reads.size());
   STARATLAS_CHECK(outcomes.size() >= end - begin);
+  AlignWorkspace& ws = *workspaces_[slot];
+  ws.batch.views.clear();
+  for (usize r = begin; r < end; ++r) {
+    ws.batch.views.push_back(reads.reads[r].sequence);
+  }
+  align_views(ws, sink, outcomes);
+}
+
+void AlignmentEngine::align_views(AlignWorkspace& ws, ChunkSink& sink,
+                                  std::span<ReadOutcome> outcomes) const {
   sink.stats = MappingStats{};
   if (counter_) reset_counts(sink.counts);
   if (sink.junctions) sink.junctions->clear();
 
-  AlignWorkspace& ws = *workspaces_[slot];
   const Aligner aligner(*index_, config_.params);
-  const usize count = end - begin;
   AlignBatchLanes& lanes = ws.batch;
-  lanes.views.clear();
-  for (usize r = begin; r < end; ++r) {
-    lanes.views.push_back(reads.reads[r].sequence);
-  }
+  const usize count = lanes.views.size();
   if (lanes.results.size() < count) lanes.results.resize(count);
   aligner.align_batch(lanes.views, ws, sink.stats,
                       std::span(lanes.results).first(count));
@@ -246,8 +308,8 @@ void AlignmentEngine::align_chunk(const ReadSet& reads, usize begin,
 }
 
 AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
-                                         u64 total_reads_hint,
-                                         const ProgressCallback& callback) {
+                                            u64 total_reads_hint,
+                                            const ProgressCallback& callback) {
   STARATLAS_CHECK(source != nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
@@ -259,15 +321,8 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
                                     : config_.num_threads + 2);
   ensure_stream_slots(nslots);
   if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
-
-  const u64 check_interval =
-      config_.progress_check_interval
-          ? config_.progress_check_interval
-          : std::max<u64>(1, total_reads_hint / 50);
-
-  const Aligner aligner(*index_, config_.params);
-  JunctionCollector merged_junctions(*index_, config_.junction_min_intron);
-  ProgressTracker tracker(total_reads_hint);
+  OrderedCommit ledger(run, *index_, config_, total_reads_hint, callback,
+                       wall_start);
 
   // Slot recycling ring (backpressure) and the parsed-batch work queue.
   // Both hold at most nslots entries, so pushes never block; the producer
@@ -278,24 +333,15 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
   for (usize i = 0; i < nslots; ++i) free_q.push(stream_slots_[i].get());
 
   std::atomic<usize> next_worker_slot{0};
-  std::atomic<bool> abort_flag{false};
   std::atomic<u64> consumer_allocs{0};
 
   // In-order commit state, all guarded by commit_mu. Workers align batches
   // in any order, then park them in the reorder ring; the ring drains
-  // strictly in sequence, so merges, checkpoints and the abort decision
-  // happen at deterministic read counts whatever the thread count.
+  // strictly in sequence into the ledger.
   std::mutex commit_mu;
   std::vector<StreamSlot*> reorder(nslots, nullptr);
   u64 commit_next = 0;
-  u64 next_check = check_interval;
   std::exception_ptr worker_error;
-
-  auto elapsed_secs = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         wall_start)
-        .count();
-  };
 
   auto commit = [&](StreamSlot* done) {
     std::lock_guard lock(commit_mu);
@@ -304,28 +350,14 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
       if (slot->seq != commit_next) break;
       reorder[commit_next % nslots] = nullptr;
       ++commit_next;
-      if (!abort_flag.load(std::memory_order_relaxed)) {
+      if (ledger.commit(slot->sink)) {
         const usize n = slot->batch.size();
         if (run.outcomes.size() < slot->first_read + n) {
           run.outcomes.resize(slot->first_read + n, ReadOutcome::kUnmapped);
         }
         std::copy(slot->outcomes.begin(), slot->outcomes.begin() + n,
                   run.outcomes.begin() + slot->first_read);
-        run.stats += slot->stats;
-        tracker.add(slot->stats);
-        if (counter_) run.gene_counts += slot->counts;
-        if (slot->junctions) merged_junctions += *slot->junctions;
         ++run.stream_batches;
-        if (callback && tracker.processed() >= next_check) {
-          const ProgressSnapshot snap = tracker.snapshot(elapsed_secs());
-          // Advance past every boundary this commit crossed so one large
-          // batch produces one log row, exactly as run() does.
-          next_check = (snap.processed / check_interval + 1) * check_interval;
-          run.progress_log.append(snap);
-          if (callback(snap) == EngineCommand::kAbort) {
-            abort_flag.store(true, std::memory_order_relaxed);
-          }
-        }
       }
       free_q.push(slot);  // recycle even past abort: the producer may be
                           // blocked on a free slot and must wake to exit
@@ -341,7 +373,7 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         const auto popped = free_q.pop();
         if (!popped) break;
         StreamSlot* slot = *popped;
-        if (abort_flag.load(std::memory_order_relaxed)) break;
+        if (ledger.aborted()) break;
         slot->batch.clear();
         if (!source(slot->batch) || slot->batch.empty()) break;
         slot->seq = seq++;
@@ -351,7 +383,7 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
       }
     } catch (...) {
       producer_error = std::current_exception();
-      abort_flag.store(true, std::memory_order_relaxed);
+      ledger.abort();
     }
     work_q.close();
   });
@@ -362,32 +394,19 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
     const u64 allocs_before = alloc_counter::thread_allocations();
     while (const auto popped = work_q.pop()) {
       StreamSlot* slot = *popped;
-      if (!abort_flag.load(std::memory_order_relaxed)) {
+      if (!ledger.aborted()) {
         try {
-          slot->stats = MappingStats{};
           const usize count = slot->batch.size();
           slot->outcomes.resize(count);
-          if (counter_) reset_counts(slot->counts);
-          if (slot->junctions) slot->junctions->clear();
-          AlignBatchLanes& lanes = ws.batch;
-          lanes.views.clear();
+          ws.batch.views.clear();
           for (usize r = 0; r < count; ++r) {
-            lanes.views.push_back(slot->batch.sequence(r));
+            ws.batch.views.push_back(slot->batch.sequence(r));
           }
-          if (lanes.results.size() < count) lanes.results.resize(count);
-          aligner.align_batch(lanes.views, ws, slot->stats,
-                              std::span(lanes.results).first(count));
-          for (usize r = 0; r < count; ++r) {
-            const ReadAlignment& result = lanes.results[r];
-            slot->stats.add_outcome(result.outcome);
-            slot->outcomes[r] = result.outcome;
-            if (counter_) counter_->count(result, slot->counts);
-            if (slot->junctions) slot->junctions->add(result);
-          }
+          align_views(ws, slot->sink, slot->outcomes);
         } catch (...) {
           std::lock_guard lock(commit_mu);
           if (!worker_error) worker_error = std::current_exception();
-          abort_flag.store(true, std::memory_order_relaxed);
+          ledger.abort();
         }
       }
       commit(slot);  // always: recycling must not stall behind an abort
@@ -413,16 +432,11 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
   if (producer_error) std::rethrow_exception(producer_error);
   if (worker_error) std::rethrow_exception(worker_error);
 
-  run.aborted = abort_flag.load();
+  ledger.finish();
   // A completed stream knows the true total; an aborted one keeps the
   // hint-sized vector (unprocessed tail stays kUnmapped, like run()).
   if (!run.aborted && run.outcomes.size() > run.stats.processed) {
     run.outcomes.resize(run.stats.processed);
-  }
-  run.wall_seconds = elapsed_secs();
-  if (config_.collect_junctions) run.junctions = merged_junctions.junctions();
-  if (!run.progress_log.entries().empty() || !callback) {
-    run.progress_log.append(tracker.snapshot(run.wall_seconds));
   }
   run.stream_consumer_allocs =
       consumer_allocs.load(std::memory_order_relaxed);

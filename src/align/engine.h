@@ -34,7 +34,11 @@ struct EngineRunRequest;  // align/run_request.h
 enum class EngineCommand { kContinue, kAbort };
 
 /// Invoked (serialized) whenever `progress_check_interval` more reads have
-/// completed. Returning kAbort stops the run promptly (chunk granularity).
+/// been committed. Work units (run() chunks, run_stream batches) commit
+/// strictly in input order, so every snapshot lands on the same read count
+/// at any thread count. Returning kAbort stops the run at that commit:
+/// units aligned concurrently but committed later are discarded, never
+/// merged.
 using ProgressCallback = std::function<EngineCommand(const ProgressSnapshot&)>;
 
 /// Fills `batch` (already cleared; arena capacity reused) with the next
@@ -56,6 +60,9 @@ struct EngineConfig {
   u64 junction_min_intron = 21;
   /// Batch slots in flight for run_stream (the backpressure bound: peak
   /// ingest memory is this many batch arenas). 0 = num_threads + 2.
+  /// run() reuses the same slot ring as its reorder window, always with
+  /// num_threads + 2 slots: its reads are already resident, so a slot there
+  /// holds only one chunk's accumulators, never a copy of the reads.
   usize stream_queue_depth = 0;
 };
 
@@ -112,11 +119,15 @@ class AlignmentEngine {
   /// thin compatibility wrappers over this. See align/run_request.h.
   AlignmentRun execute(const EngineRunRequest& request);
 
-  /// Thin wrapper: execute() in memory mode. Aligns the read set.
-  /// Deterministic in its statistics regardless of thread count; abort
-  /// timing has chunk granularity. Not reentrant: one run at a time per
-  /// engine (the worker pool and workspaces are engine-owned and reused
-  /// run to run).
+  /// Thin wrapper: execute() in memory mode. Aligns the read set in
+  /// chunk_size chunks, claimed straight from `reads` (no copy, no extra
+  /// thread), aligned in parallel and COMMITTED strictly in input order.
+  /// So outcomes, stats, gene counts, junctions, every progress snapshot
+  /// and the processed count an early-stop abort lands on are identical at
+  /// every thread count, and identical to run_stream with batch size ==
+  /// chunk_size. Abort timing has chunk granularity. Not reentrant: one
+  /// run at a time per engine (the worker pool, workspaces and slot ring
+  /// are engine-owned and reused run to run).
   AlignmentRun run(const ReadSet& reads, const ProgressCallback& callback = {});
 
   /// Thin wrapper: execute() in stream mode over a pull source.
@@ -171,13 +182,19 @@ class AlignmentEngine {
  private:
   struct StreamSlot;
 
-  /// The real in-memory execution body (execute()'s kMemory strategy).
+  /// The real in-memory execution body (execute()'s kMemory strategy):
+  /// its workers run align_chunk into the slot ring.
   AlignmentRun run_memory(const ReadSet& reads,
                           const ProgressCallback& callback);
   /// The real streaming execution body (execute()'s kStream strategy).
   AlignmentRun run_streaming(const BatchSource& source, u64 total_reads_hint,
                              const ProgressCallback& callback);
 
+  /// The per-unit alignment body every path shares: aligns the views in
+  /// `ws.batch.views`, writing outcomes[i] and accumulating into `sink`
+  /// (zeroed first, capacity kept).
+  void align_views(AlignWorkspace& ws, ChunkSink& sink,
+                   std::span<ReadOutcome> outcomes) const;
   /// Creates the worker pool and per-worker workspaces on first use.
   void ensure_workers();
   /// Creates (or grows) the recycled batch-slot ring.
@@ -193,9 +210,9 @@ class AlignmentEngine {
   /// One workspace per worker slot (num_threads of them), reused run to
   /// run so steady-state alignment stops allocating.
   std::vector<std::unique_ptr<AlignWorkspace>> workspaces_;
-  /// Recycled streaming batch slots (arena + per-batch accumulators),
-  /// reused across run_stream calls so steady-state ingest stops
-  /// allocating.
+  /// Recycled work slots (batch arena + per-unit accumulators): the
+  /// streaming ring and run()'s reorder window, reused across runs so
+  /// steady-state alignment stops allocating.
   std::vector<std::unique_ptr<StreamSlot>> stream_slots_;
 };
 

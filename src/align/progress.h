@@ -43,8 +43,8 @@ class ProgressTracker {
   /// Adds a completed chunk's outcome counts.
   void add(const MappingStats& chunk);
 
-  /// Reads processed so far. Lock-free; the engine's progress checkpoint
-  /// uses this to skip the merge lock off checkpoint boundaries.
+  /// Reads processed so far. Lock-free, so it may be read while another
+  /// thread adds.
   u64 processed() const { return processed_.load(std::memory_order_relaxed); }
 
   ProgressSnapshot snapshot(double elapsed_seconds = 0.0) const;

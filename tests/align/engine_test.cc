@@ -148,6 +148,27 @@ TEST(Engine, AbortWithThreadsStillStops) {
   EXPECT_LT(run.stats.processed, 4'000u);
 }
 
+TEST(Engine, CallbackFailurePropagatesAndEngineStaysUsable) {
+  const auto& w = world();
+  EngineConfig config;
+  config.progress_check_interval = 100;
+  config.chunk_size = 50;
+  config.num_threads = 4;
+  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), config);
+  const ReadSet reads = bulk_reads(2'000);
+  // A callback failure inside the in-order commit surfaces from run() once
+  // every worker has exited, and leaves the pool, workspaces and slot ring
+  // reusable.
+  EXPECT_THROW(engine.run(reads,
+                          [](const ProgressSnapshot&) -> EngineCommand {
+                            throw IoError("progress sink failed");
+                          }),
+               IoError);
+  const AlignmentRun run = engine.run(reads);
+  EXPECT_FALSE(run.aborted);
+  EXPECT_EQ(run.stats.processed, reads.size());
+}
+
 TEST(Engine, EmptyReadSet) {
   const auto& w = world();
   AlignmentEngine engine(w.index111, &w.synthesizer->annotation(), {});

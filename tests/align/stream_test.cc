@@ -1,8 +1,14 @@
 // run_stream must be a drop-in for run(): identical outcomes, stats, gene
 // counts and junctions at every thread count, an early-stop abort landing
 // on the same committed read count, bounded peak ingest memory, and an
-// allocation-free steady state on the consumer side.
+// allocation-free steady state on the consumer side. run() commits its
+// chunks in input order too, so its abort point matches run_stream's.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
+#include <string>
+#include <thread>
 
 #include "align/engine.h"
 #include "common/alloc_counter.h"
@@ -117,6 +123,82 @@ TEST(Stream, EarlyStopAbortsAtIdenticalReadCount) {
     expect_identical(reference, streamed,
                      "abort threads=" + std::to_string(threads));
     EXPECT_TRUE(streamed.aborted);
+  }
+}
+
+void expect_same_progress_rows(const AlignmentRun& a, const AlignmentRun& b,
+                               const std::string& label) {
+  SCOPED_TRACE(label);
+  const auto& rows_a = a.progress_log.entries();
+  const auto& rows_b = b.progress_log.entries();
+  ASSERT_EQ(rows_a.size(), rows_b.size());
+  for (usize i = 0; i < rows_a.size(); ++i) {
+    EXPECT_EQ(rows_a[i].total_reads, rows_b[i].total_reads) << "row " << i;
+    EXPECT_EQ(rows_a[i].processed, rows_b[i].processed) << "row " << i;
+    EXPECT_EQ(rows_a[i].unique, rows_b[i].unique) << "row " << i;
+    EXPECT_EQ(rows_a[i].multi, rows_b[i].multi) << "row " << i;
+    EXPECT_EQ(rows_a[i].too_many, rows_b[i].too_many) << "row " << i;
+    EXPECT_EQ(rows_a[i].unmapped, rows_b[i].unmapped) << "row " << i;
+  }
+}
+
+TEST(Stream, MemoryRunAbortIsIdenticalAcrossThreadsChunksAndModes) {
+  const auto& w = world();
+  const ReadSet reads = stream_reads();
+  constexpr u64 kInterval = 100;
+  // A slow callback gives concurrent workers time to claim and align later
+  // chunks before the abort is known; those must still be discarded.
+  auto abort_at_first = [](const ProgressSnapshot&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return EngineCommand::kAbort;
+  };
+
+  // A small chunk (many chunks in flight per checkpoint) and one larger
+  // than half the sample (two chunks: the second is usually aligned
+  // concurrently with the first and must be discarded, not merged).
+  for (const usize chunk : {usize{32}, usize{320}}) {
+    const std::string chunk_label = "chunk=" + std::to_string(chunk);
+    EngineConfig reference_config = stream_config(1);
+    reference_config.chunk_size = chunk;
+    reference_config.progress_check_interval = kInterval;
+    AlignmentEngine reference_engine(
+        w.index111, &w.synthesizer->annotation(), reference_config);
+    const AlignmentRun reference = reference_engine.run(reads, abort_at_first);
+    ASSERT_TRUE(reference.aborted) << chunk_label;
+    // The abort lands on the first chunk boundary at or past the interval.
+    EXPECT_EQ(reference.stats.processed,
+              std::min<u64>(reads.size(),
+                            (kInterval + chunk - 1) / chunk * chunk))
+        << chunk_label;
+    ASSERT_LT(reference.stats.processed, reads.size()) << chunk_label;
+
+    for (const usize threads : {usize{1}, usize{2}, usize{4}, usize{8}}) {
+      const std::string label =
+          chunk_label + " threads=" + std::to_string(threads);
+      EngineConfig config = stream_config(threads);
+      config.chunk_size = chunk;
+      config.progress_check_interval = kInterval;
+      AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                             config);
+
+      const AlignmentRun memory = engine.run(reads, abort_at_first);
+      EXPECT_TRUE(memory.aborted) << label;
+      expect_identical(reference, memory, "memory " + label);
+      expect_same_progress_rows(reference, memory, "memory " + label);
+      // AlignmentRun::outcomes: reads past the abort stay kUnmapped, even
+      // those a concurrent worker had already aligned.
+      for (usize r = memory.stats.processed; r < memory.outcomes.size();
+           ++r) {
+        ASSERT_EQ(memory.outcomes[r], ReadOutcome::kUnmapped)
+            << label << " read " << r;
+      }
+
+      const AlignmentRun streamed =
+          engine.run_stream_reads(reads, chunk, abort_at_first);
+      EXPECT_TRUE(streamed.aborted) << label;
+      expect_identical(reference, streamed, "stream " + label);
+      expect_same_progress_rows(reference, streamed, "stream " + label);
+    }
   }
 }
 
