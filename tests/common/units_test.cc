@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.h"
 
 namespace staratlas {
@@ -51,6 +53,13 @@ struct ParseCase {
   const char* text;
   u64 bytes;
 };
+
+// gtest_discover_tests names each case after its printed parameter. The
+// default printer dumps the struct's raw bytes, which include the text
+// pointer and so change with every address-space layout; print the values.
+void PrintTo(const ParseCase& c, std::ostream* os) {
+  *os << '<' << c.text << "> = " << c.bytes << " B";
+}
 
 class ByteSizeParse : public ::testing::TestWithParam<ParseCase> {};
 
