@@ -23,15 +23,16 @@
 // Run without arguments for usage. Exit code 0 on success, 1 on usage
 // errors, 2 on runtime failures.
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "align/engine.h"
@@ -40,12 +41,13 @@
 #include "align/junctions.h"
 #include "align/sam.h"
 #include "align/run_request.h"
-#include "align/sharded.h"
 #include "core/early_stopping.h"
 #include "genome/synthesizer.h"
 #include "index/genome_index.h"
+#include "index/index_storage.h"
 #include "io/fasta.h"
 #include "io/fastq.h"
+#include "io/fastq_block.h"
 #include "io/gtf.h"
 #include "service/rpc.h"
 #include "service/service.h"
@@ -198,78 +200,112 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
+// Contig-name resolution for the GTF against a loaded index: GTF contig
+// names map to the index's contig ids by name, so no genome text is
+// decoded or copied (align and serve have no FASTA on hand).
+Annotation annotation_from_index(const GenomeIndex& index,
+                                 const std::string& gtf_path) {
+  std::vector<std::string> names;
+  names.reserve(index.contigs().size());
+  for (const ContigMeta& contig : index.contigs()) names.push_back(contig.name);
+  return Annotation::from_gtf(read_gtf_file(gtf_path), names);
+}
+
 int cmd_align(const Args& args) {
   const std::string index_path = args.require("index");
   const std::string fastq = args.require("fastq");
   const std::string prefix = args.require("out-prefix");
 
   const GenomeIndex index = GenomeIndex::load_file(index_path);
-  const ReadSet reads = make_read_set(read_fastq_file(fastq));
+  // Mapped read-only with every page faulted in up front: the file is read
+  // front to back exactly once. A 0-byte file is an empty sample.
+  const MappedFile mapping = MappedFile::map(
+      fastq, {.kind = "FASTQ file", .allow_empty = true, .populate = true});
+  const std::string_view input(reinterpret_cast<const char*>(mapping.data()),
+                               mapping.size());
 
-  Annotation annotation;
   const bool quant = args.has("gtf");
-  if (quant) {
-    // Rebuild a throwaway assembly view for contig-name resolution.
-    std::vector<FastaRecord> records;
-    for (const ContigMeta& contig : index.contigs()) {
-      // text_substr decodes when the index is packed (v4), so the GTF path
-      // works against any index version.
-      records.push_back({contig.name, "",
-                         index.text_substr(contig.text_offset,
-                                           contig.length)});
-    }
-    const Assembly assembly =
-        Assembly::from_fasta("cli", index.release(), index.assembly_type(),
-                             records);
-    annotation = Annotation::from_gtf(read_gtf_file(args.require("gtf")),
-                                      assembly);
-  }
+  Annotation annotation;
+  if (quant) annotation = annotation_from_index(index, args.require("gtf"));
 
   EngineConfig config;
   config.num_threads = args.get_u64("threads", 2);
   config.quant_gene_counts = quant;
   config.collect_junctions = true;
-
-  const usize shards = args.get_u64("shards", 1);
   AlignmentEngine engine(index, quant ? &annotation : nullptr, config);
 
   // All modes go through one request; execute() owns validation (e.g.
-  // early-stop x shards rejection) so the CLI carries no mode rules.
+  // early-stop x shards rejection) so the CLI carries no mode rules. The
+  // engine's producer thread parses the mapped bytes while the workers
+  // align; --shards scatters byte ranges of the same mapping.
   EngineRunRequest request;
-  std::string raw;  // keeps sharded input alive across execute()
-  if (shards > 1) {
-    // Scatter/gather over byte ranges of the file; merged output is
-    // byte-identical to the unsharded run.
-    std::ifstream in(fastq, std::ios::binary);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    raw = std::move(buf).str();
-    request.fastq_text = raw;
-    request.num_shards = shards;
+  const ReadSet no_reads;
+  if (input.empty()) {
+    request.reads = &no_reads;
   } else {
-    request.reads = &reads;
+    request.fastq_text = input;
+    request.num_shards = args.get_u64("shards", 1);
   }
-  if (args.has("early-stop")) {
+  const bool early_stop = args.has("early-stop");
+  if (early_stop) {
     request.early_stop = EarlyStopPolicy{};  // enabled by default
   }
 
+  // SAM streams out of the engine's in-order commit into a partial file,
+  // renamed into place once the run completes: an aborted or failed run
+  // leaves no .sam.
+  const std::string sam_path = prefix + ".sam";
+  const std::string sam_partial = sam_path + ".partial";
+  std::ofstream sam_out;
+  std::optional<SamWriter> sam;
+  if (!args.has("no-sam")) {
+    sam_out.open(sam_partial, std::ios::binary);
+    if (!sam_out) {
+      throw IoError("cannot open SAM file for writing: " + sam_partial);
+    }
+    sam.emplace(sam_out, index);
+    request.sam = sam->sink();
+  }
+  auto discard_sam = [&] {
+    if (!sam) return;
+    sam_out.close();
+    std::error_code ignored;
+    std::filesystem::remove(sam_partial, ignored);
+  };
+
+  FastqTally tally;
   AlignmentRun run;
   try {
+    request.validate();
+    if (early_stop) {
+      // The checkpoint is a fraction of the whole sample, so count it
+      // first. The count parses exactly as the stream does, so a malformed
+      // record fails the run even where it lies past the abort point.
+      tally = tally_fastq(input);
+      request.total_reads_hint = tally.reads;
+    }
     run = engine.execute(request);
   } catch (const InvalidArgument& error) {
+    discard_sam();
     std::cerr << error.what() << "\n";
     return 1;
+  } catch (...) {
+    discard_sam();
+    throw;
   }
 
-  // Log.final.out
-  double mean_length = 0.0;
-  for (const auto& read : reads.reads) {
-    mean_length += static_cast<double>(read.sequence.size());
-  }
-  mean_length /= static_cast<double>(reads.size());
+  // Log.final.out. A completed stream counted every read as it parsed
+  // them; an aborted one stopped parsing near the abort, so the pre-run
+  // count has the total.
+  const u64 input_reads = run.aborted ? tally.reads : run.input_reads;
+  const u64 input_bases = run.aborted ? tally.bases : run.input_bases;
+  const double mean_length =
+      input_reads == 0 ? 0.0
+                       : static_cast<double>(input_bases) /
+                             static_cast<double>(input_reads);
   {
     std::ofstream log(prefix + ".Log.final.out");
-    log << render_final_log(run, reads.size(), mean_length);
+    log << render_final_log(run, input_reads, mean_length);
   }
   // SJ.out.tab
   {
@@ -281,41 +317,29 @@ int cmd_align(const Args& args) {
     std::ofstream counts(prefix + ".ReadsPerGene.out.tab");
     run.gene_counts.write_tsv(counts, annotation);
   }
-  // SAM (re-aligns to recover per-read hits; fine at CLI scale).
-  if (!args.has("no-sam") && !run.aborted) {
-    std::ofstream sam_out(prefix + ".sam");
-    SamWriter writer(sam_out, index);
-    const Aligner aligner(index, config.params);
-    MappingStats scratch;
-    for (const auto& read : reads.reads) {
-      writer.write_read(read, aligner.align(read.sequence, scratch));
+  if (sam) {
+    if (run.aborted) {
+      discard_sam();
+    } else {
+      sam_out.close();
+      std::error_code error;
+      std::filesystem::rename(sam_partial, sam_path, error);
+      if (error) {
+        throw IoError("cannot move " + sam_partial + " to " + sam_path +
+                      ": " + error.message());
+      }
+      std::cout << "wrote " << sam_path << " (" << sam->records_written()
+                << " records)\n";
     }
-    std::cout << "wrote " << prefix << ".sam (" << writer.records_written()
-              << " records)\n";
   }
 
-  std::cout << "aligned " << run.stats.processed << "/" << reads.size()
+  std::cout << "aligned " << run.stats.processed << "/" << input_reads
             << " reads: " << 100.0 * run.stats.mapped_rate() << "% mapped"
             << (run.aborted ? " [EARLY-STOPPED]" : "") << "\n"
             << "wrote " << prefix << ".Log.final.out, " << prefix
             << ".SJ.out.tab" << (quant ? ", " + prefix + ".ReadsPerGene.out.tab" : "")
             << "\n";
   return 0;
-}
-
-// Contig-name resolution for the GTF against a loaded index (the serve
-// path has no FASTA on hand; text_substr decodes packed v4 indexes too).
-Annotation annotation_from_index(const GenomeIndex& index,
-                                 const std::string& gtf_path) {
-  std::vector<FastaRecord> records;
-  for (const ContigMeta& contig : index.contigs()) {
-    records.push_back(
-        {contig.name, "",
-         index.text_substr(contig.text_offset, contig.length)});
-  }
-  const Assembly assembly = Assembly::from_fasta(
-      "cli", index.release(), index.assembly_type(), records);
-  return Annotation::from_gtf(read_gtf_file(gtf_path), assembly);
 }
 
 int cmd_serve(const Args& args) {
@@ -342,10 +366,9 @@ int cmd_serve(const Args& args) {
             << socket_path << " (" << config.engine.num_threads
             << " workers, chunk " << config.chunk_size
             << " reads); DRAIN to stop\n";
-  // A DRAIN request flips the service into draining; exit once it does.
-  while (!service.draining()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  // Exit once a DRAIN request has been answered: stop() shuts down every
+  // connection, so stopping any earlier would cut the DRAIN reply.
+  server.wait_for_drain();
   server.stop();
   const auto metrics = service.metrics();
   std::cout << "drained: " << metrics.samples_completed << " samples, "

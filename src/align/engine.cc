@@ -8,6 +8,7 @@
 #include <future>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +26,8 @@ struct AlignmentEngine::StreamSlot {
   ReadBatch batch;
   std::vector<ReadOutcome> outcomes;  ///< batch-local, index-aligned
   ChunkSink sink;
+  std::string sam;      ///< the unit's rendered SAM records (SAM runs only)
+  u64 sam_records = 0;  ///< records in `sam`
   u64 seq = 0;         ///< batch sequence number in stream order
   u64 first_read = 0;  ///< global index of the batch's first read
 };
@@ -38,6 +41,20 @@ void reset_counts(GeneCountsTable& counts) {
   counts.n_multimapping = 0;
   counts.n_no_feature = 0;
   counts.n_ambiguous = 0;
+}
+
+/// Replaces `out` with one aligned unit's SAM records, read by read in
+/// input order, and returns how many it wrote. `read(r)` is the unit's
+/// r-th read and `results[r]` its alignment (the worker's result lanes).
+template <typename ReadAt>
+u64 render_unit_sam(std::string& out, const GenomeIndex& index,
+                    std::span<const ReadAlignment> results, ReadAt read) {
+  out.clear();
+  u64 records = 0;
+  for (usize r = 0; r < results.size(); ++r) {
+    records += append_sam_records(out, index, read(r), results[r]);
+  }
+  return records;
 }
 
 /// The commit point both execution bodies share. Work units (memory
@@ -152,10 +169,15 @@ void AlignmentEngine::ensure_stream_slots(usize count) {
 }
 
 AlignmentRun AlignmentEngine::run_memory(const ReadSet& reads,
-                                         const ProgressCallback& callback) {
+                                         const ProgressCallback& callback,
+                                         const SamSink& sam) {
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
   run.outcomes.assign(reads.size(), ReadOutcome::kUnmapped);
+  run.input_reads = reads.size();
+  for (const FastqRecord& read : reads.reads) {
+    run.input_bases += read.sequence.size();
+  }
   // Pre-size like run_stream: unit tables merge under the strict
   // equal-dimension contract of GeneCountsTable::operator+=.
   if (counter_) run.gene_counts = GeneCountsTable(annotation_->num_genes());
@@ -201,20 +223,34 @@ AlignmentRun AlignmentEngine::run_memory(const ReadSet& reads,
       lock.unlock();
       const usize begin = chunk_begin(chunk);
       const usize end = chunk_end(chunk);
-      align_chunk(reads, begin, end, worker_slot,
-                  stream_slots_[chunk % nslots]->sink,
+      StreamSlot& unit = *stream_slots_[chunk % nslots];
+      align_chunk(reads, begin, end, worker_slot, unit.sink,
                   std::span(run.outcomes).subspan(begin, end - begin));
+      if (sam) {
+        unit.sam_records = render_unit_sam(
+            unit.sam, *index_,
+            std::span<const ReadAlignment>(
+                workspaces_[worker_slot]->batch.results)
+                .first(end - begin),
+            [&reads, begin](usize r) {
+              const FastqRecord& read = reads.reads[begin + r];
+              return ReadView{read.name, read.sequence, read.quality};
+            });
+      }
       lock.lock();
       ready[chunk % nslots] = 1;
       const usize committed_before = commit_next;
       while (ready[commit_next % nslots]) {
         const usize done = commit_next++;
         ready[done % nslots] = 0;
-        if (!ledger.commit(stream_slots_[done % nslots]->sink)) {
+        const StreamSlot& committed = *stream_slots_[done % nslots];
+        if (!ledger.commit(committed.sink)) {
           // Aligned past the abort: not part of the run.
           std::fill(run.outcomes.begin() + chunk_begin(done),
                     run.outcomes.begin() + chunk_end(done),
                     ReadOutcome::kUnmapped);
+        } else if (sam) {
+          sam(committed.sam, committed.sam_records);
         }
       }
       if (commit_next != committed_before) window_open.notify_all();
@@ -309,7 +345,8 @@ void AlignmentEngine::align_views(AlignWorkspace& ws, ChunkSink& sink,
 
 AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
                                             u64 total_reads_hint,
-                                            const ProgressCallback& callback) {
+                                            const ProgressCallback& callback,
+                                            const SamSink& sam) {
   STARATLAS_CHECK(source != nullptr);
   const auto wall_start = std::chrono::steady_clock::now();
   AlignmentRun run;
@@ -358,6 +395,7 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         std::copy(slot->outcomes.begin(), slot->outcomes.begin() + n,
                   run.outcomes.begin() + slot->first_read);
         ++run.stream_batches;
+        if (sam) sam(slot->sam, slot->sam_records);
       }
       free_q.push(slot);  // recycle even past abort: the producer may be
                           // blocked on a free slot and must wake to exit
@@ -376,6 +414,8 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
         if (ledger.aborted()) break;
         slot->batch.clear();
         if (!source(slot->batch) || slot->batch.empty()) break;
+        run.input_reads += slot->batch.size();
+        run.input_bases += slot->batch.bases();
         slot->seq = seq++;
         slot->first_read = first_read;
         first_read += slot->batch.size();
@@ -403,6 +443,12 @@ AlignmentRun AlignmentEngine::run_streaming(const BatchSource& source,
             ws.batch.views.push_back(slot->batch.sequence(r));
           }
           align_views(ws, slot->sink, slot->outcomes);
+          if (sam) {
+            slot->sam_records = render_unit_sam(
+                slot->sam, *index_,
+                std::span<const ReadAlignment>(ws.batch.results).first(count),
+                [slot](usize r) { return slot->batch.view(r); });
+          }
         } catch (...) {
           std::lock_guard lock(commit_mu);
           if (!worker_error) worker_error = std::current_exception();

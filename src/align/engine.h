@@ -20,6 +20,7 @@
 #include "align/params.h"
 #include "align/progress.h"
 #include "align/record.h"
+#include "align/sam.h"
 #include "align/workspace.h"
 #include "common/thread_pool.h"
 #include "genome/annotation.h"
@@ -91,6 +92,13 @@ struct AlignmentRun {
   ProgressLog progress_log;
   bool aborted = false;
   double wall_seconds = 0.0;  ///< measured real time of the run
+
+  /// Reads and bases the input delivered: the whole ReadSet in memory
+  /// mode, the whole file in sharded mode, and what the producer parsed
+  /// in stream mode. A stream cut short by an abort stops parsing near
+  /// the abort point, so only a completed stream's count is its total.
+  u64 input_reads = 0;
+  u64 input_bases = 0;
 
   // run_stream telemetry (zero after run()).
   u64 stream_batches = 0;  ///< batches committed (aborted runs: up to abort)
@@ -184,11 +192,14 @@ class AlignmentEngine {
 
   /// The real in-memory execution body (execute()'s kMemory strategy):
   /// its workers run align_chunk into the slot ring.
+  /// A non-null `sam` receives each committed chunk's SAM records.
   AlignmentRun run_memory(const ReadSet& reads,
-                          const ProgressCallback& callback);
+                          const ProgressCallback& callback,
+                          const SamSink& sam);
   /// The real streaming execution body (execute()'s kStream strategy).
   AlignmentRun run_streaming(const BatchSource& source, u64 total_reads_hint,
-                             const ProgressCallback& callback);
+                             const ProgressCallback& callback,
+                             const SamSink& sam);
 
   /// The per-unit alignment body every path shares: aligns the views in
   /// `ws.batch.views`, writing outcomes[i] and accumulating into `sink`

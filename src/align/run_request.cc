@@ -110,12 +110,12 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
   AlignmentRun run;
   switch (mode) {
     case EngineRunRequest::Mode::kMemory:
-      run = run_memory(*request.reads, callback);
+      run = run_memory(*request.reads, callback, request.sam);
       break;
     case EngineRunRequest::Mode::kStream: {
       if (request.batches) {
         run = run_streaming(request.batches, request.total_reads_hint,
-                            callback);
+                            callback, request.sam);
       } else if (request.reads != nullptr) {
         const ReadSet& reads = *request.reads;
         usize next = 0;
@@ -130,14 +130,15 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
           }
           return true;
         };
-        run = run_streaming(source, reads.size(), callback);
+        run = run_streaming(source, reads.size(), callback, request.sam);
       } else {
         FastqBlockReader reader(request.fastq_text);
         const usize batch_size = request.batch_reads;
         const BatchSource source = [&reader, batch_size](ReadBatch& batch) {
           return reader.read_batch(batch, batch_size) > 0;
         };
-        run = run_streaming(source, request.total_reads_hint, callback);
+        run = run_streaming(source, request.total_reads_hint, callback,
+                            request.sam);
       }
       break;
     }
@@ -146,6 +147,7 @@ AlignmentRun AlignmentEngine::execute(const EngineRunRequest& request) {
       sharded_config.engine = config_;
       sharded_config.num_shards = request.num_shards;
       sharded_config.batch_reads = request.batch_reads;
+      sharded_config.sam = request.sam;
       ShardedRun sharded = align_sharded(request.fastq_text, *index_,
                                          annotation_, sharded_config);
       run = std::move(sharded.merged);

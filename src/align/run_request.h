@@ -22,6 +22,7 @@
 
 #include "align/early_stopping.h"
 #include "align/engine.h"
+#include "align/sam.h"
 
 namespace staratlas {
 
@@ -65,6 +66,14 @@ struct EngineRunRequest {
   /// User progress callback, invoked before the early-stop controller;
   /// an abort from either wins.
   ProgressCallback callback;
+
+  /// When set, SAM records are rendered by the workers as they align and
+  /// handed to this sink in input order, one committed unit at a time
+  /// (sharded runs buffer each shard's records and deliver them shard by
+  /// shard). Units aligned past an early-stop abort never reach it, so an
+  /// aborted run delivers exactly the records of the reads it counted.
+  /// Called serially, never concurrently with itself.
+  SamSink sam;
 
   /// Where execute() deposits the full scatter/gather result for kSharded
   /// runs (optional; the merged AlignmentRun is always returned).

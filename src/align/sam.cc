@@ -1,5 +1,6 @@
 #include "align/sam.h"
 
+#include <charconv>
 #include <ostream>
 
 #include "common/error.h"
@@ -51,6 +52,73 @@ int star_mapq(u32 num_loci) {
   return 0;
 }
 
+namespace {
+
+void append_number(std::string& out, u64 value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out.append(buf, end);
+}
+
+void append_record(std::string& out, const GenomeIndex& index,
+                   const ReadView& read, std::string_view seq,
+                   std::string_view qual, const AlignmentHit& hit,
+                   const ReadAlignment& alignment, bool secondary) {
+  const ContigLocus locus = index.locate(hit.text_pos);
+  u32 flag = 0;
+  if (hit.reverse) flag |= 0x10;
+  if (secondary) flag |= 0x100;
+
+  out += read.name;
+  out += '\t';
+  append_number(out, flag);
+  out += '\t';
+  out += index.contigs()[locus.contig].name;
+  out += '\t';
+  append_number(out, locus.offset + 1);
+  out += '\t';
+  append_number(out, static_cast<u64>(star_mapq(alignment.num_loci)));
+  out += '\t';
+  out += cigar_string(hit, seq.size());
+  out += "\t*\t0\t0\t";
+  out += seq;
+  out += '\t';
+  out += qual;
+  out += "\tNH:i:";
+  append_number(out, alignment.num_loci);
+  out += "\tAS:i:";
+  append_number(out, hit.score);
+  out += '\n';
+}
+
+}  // namespace
+
+u64 append_sam_records(std::string& out, const GenomeIndex& index,
+                       const ReadView& read, const ReadAlignment& alignment) {
+  if (alignment.hits.empty()) {
+    out += read.name;
+    out += "\t4\t*\t0\t0\t*\t*\t0\t0\t";
+    out += read.sequence;
+    out += '\t';
+    out += read.quality;
+    out += "\tNH:i:0\n";
+    return 1;
+  }
+  std::string rc_seq;  // built once, on the first reverse-strand hit
+  std::string rc_qual;
+  for (usize i = 0; i < alignment.hits.size(); ++i) {
+    const AlignmentHit& hit = alignment.hits[i];
+    if (hit.reverse && rc_seq.empty() && !read.sequence.empty()) {
+      reverse_complement(read.sequence, rc_seq);
+      rc_qual.assign(read.quality.rbegin(), read.quality.rend());
+    }
+    append_record(out, index, read, hit.reverse ? rc_seq : read.sequence,
+                  hit.reverse ? rc_qual : read.quality, hit, alignment,
+                  /*secondary=*/i > 0);
+  }
+  return alignment.hits.size();
+}
+
 SamWriter::SamWriter(std::ostream& out, const GenomeIndex& index)
     : out_(&out), index_(&index) {
   *out_ << "@HD\tVN:1.6\tSO:unsorted\n";
@@ -62,39 +130,21 @@ SamWriter::SamWriter(std::ostream& out, const GenomeIndex& index)
 
 void SamWriter::write_read(const FastqRecord& read,
                            const ReadAlignment& alignment) {
-  if (alignment.hits.empty()) {
-    // Unmapped record.
-    *out_ << read.name << "\t4\t*\t0\t0\t*\t*\t0\t0\t" << read.sequence << '\t'
-          << read.quality << "\tNH:i:0\n";
-    ++records_;
-    return;
-  }
-  for (usize i = 0; i < alignment.hits.size(); ++i) {
-    write_record(read, alignment.hits[i], alignment, /*secondary=*/i > 0);
-  }
+  buffer_.clear();
+  const u64 count = append_sam_records(
+      buffer_, *index_, {read.name, read.sequence, read.quality}, alignment);
+  write_records(buffer_, count);
 }
 
-void SamWriter::write_record(const FastqRecord& read, const AlignmentHit& hit,
-                             const ReadAlignment& alignment, bool secondary) {
-  const ContigLocus locus = index_->locate(hit.text_pos);
-  u32 flag = 0;
-  if (hit.reverse) flag |= 0x10;
-  if (secondary) flag |= 0x100;
+void SamWriter::write_records(std::string_view records, u64 count) {
+  out_->write(records.data(), static_cast<std::streamsize>(records.size()));
+  records_ += count;
+}
 
-  std::string seq = read.sequence;
-  std::string qual = read.quality;
-  if (hit.reverse) {
-    seq = reverse_complement(seq);
-    qual.assign(read.quality.rbegin(), read.quality.rend());
-  }
-
-  *out_ << read.name << '\t' << flag << '\t'
-        << index_->contigs()[locus.contig].name << '\t' << locus.offset + 1
-        << '\t' << star_mapq(alignment.num_loci) << '\t'
-        << cigar_string(hit, seq.size()) << "\t*\t0\t0\t" << seq << '\t'
-        << qual << "\tNH:i:" << alignment.num_loci
-        << "\tAS:i:" << hit.score << '\n';
-  ++records_;
+SamSink SamWriter::sink() {
+  return [this](std::string_view records, u64 count) {
+    write_records(records, count);
+  };
 }
 
 }  // namespace staratlas

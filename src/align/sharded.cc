@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "align/final_log.h"
+#include "align/run_request.h"
 #include "common/error.h"
 #include "io/fastq_block.h"
 
@@ -73,6 +75,11 @@ ShardedRun align_sharded(std::string_view fastq,
   // indexed by shard so concurrent workers never share a vector.
   std::vector<std::vector<ProgressSnapshot>> checkpoints(num_shards);
   std::vector<std::exception_ptr> errors(num_shards);
+  struct ShardSam {
+    std::string records;
+    u64 count = 0;
+  };
+  std::vector<ShardSam> sam_parts(config.sam ? num_shards : 0);
 
   auto run_shard = [&](usize s) noexcept {
     try {
@@ -97,9 +104,18 @@ ShardedRun align_sharded(std::string_view fastq,
       };
       // The shard's own read count is the progress denominator, so its
       // local %complete is correct (not off by a factor of num_shards).
-      AlignmentRun run = engine.run_stream(
-          [&source](ReadBatch& batch) { return source(batch); },
-          range.num_reads, on_commit);
+      EngineRunRequest request;
+      request.batches = [&source](ReadBatch& batch) { return source(batch); };
+      request.total_reads_hint = range.num_reads;
+      request.callback = on_commit;
+      if (config.sam) {
+        request.sam = [&part = sam_parts[s]](std::string_view records,
+                                             u64 count) {
+          part.records += records;
+          part.count += count;
+        };
+      }
+      AlignmentRun run = engine.execute(request);
       STARATLAS_CHECK(run.stats.processed == range.num_reads);
       out.shard_runs[s] = std::move(run);
     } catch (...) {
@@ -156,6 +172,9 @@ ShardedRun align_sharded(std::string_view fastq,
     if (config.engine.collect_junctions) {
       junction_parts.push_back(shard.junctions);
     }
+    merged.input_reads += shard.input_reads;
+    merged.input_bases += shard.input_bases;
+    if (config.sam) config.sam(sam_parts[s].records, sam_parts[s].count);
     merged.stream_batches += shard.stream_batches;
     merged.stream_consumer_allocs += shard.stream_consumer_allocs;
     merged.stream_peak_arena_bytes += shard.stream_peak_arena_bytes;

@@ -46,6 +46,10 @@ struct ShardedConfig {
   /// Max reads per streamed batch; batches are additionally capped at
   /// global checkpoint boundaries (see determinism contract above).
   usize batch_reads = 256;
+  /// When set, receives the whole sample's SAM records in input order:
+  /// each shard buffers its own, and the gather stage delivers them shard
+  /// by shard.
+  SamSink sam;
 };
 
 struct ShardedRun {

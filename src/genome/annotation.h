@@ -63,6 +63,11 @@ class Annotation {
   static Annotation from_gtf(const std::vector<GtfFeature>& features,
                              const Assembly& assembly);
 
+  /// Same, resolving contig names against a bare name table (contig id =
+  /// position), such as a loaded index's contigs: no sequence is needed.
+  static Annotation from_gtf(const std::vector<GtfFeature>& features,
+                             const std::vector<std::string>& contig_names);
+
  private:
   std::vector<Gene> genes_;
 };

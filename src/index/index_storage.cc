@@ -39,29 +39,35 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 
 bool MappedFile::supported() { return STARATLAS_HAVE_MMAP != 0; }
 
-MappedFile MappedFile::map(const std::string& path) {
+MappedFile MappedFile::map(const std::string& path, const Options& options) {
+  const std::string kind = options.kind;
 #if STARATLAS_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw IoError("cannot open index file: " + path);
+  if (fd < 0) throw IoError("cannot open " + kind + ": " + path);
   struct stat st;
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    throw IoError("cannot stat index file: " + path);
+    throw IoError("cannot stat " + kind + ": " + path);
   }
   if (st.st_size <= 0) {
     ::close(fd);
-    throw ParseError("index file is empty: " + path);
+    if (options.allow_empty) return {};
+    throw ParseError(kind + " is empty: " + path);
   }
   const usize size = static_cast<usize>(st.st_size);
-  void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  int flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+  if (options.populate) flags |= MAP_POPULATE;
+#endif
+  void* p = ::mmap(nullptr, size, PROT_READ, flags, fd, 0);
   ::close(fd);
-  if (p == MAP_FAILED) throw IoError("mmap failed for index file: " + path);
+  if (p == MAP_FAILED) throw IoError("mmap failed for " + kind + ": " + path);
   MappedFile file;
   file.data_ = static_cast<u8*>(p);
   file.size_ = size;
   return file;
 #else
-  throw IoError("mmap index load unsupported on this platform: " + path);
+  throw IoError("mmap unsupported on this platform for " + kind + ": " + path);
 #endif
 }
 

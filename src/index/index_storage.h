@@ -35,9 +35,20 @@ class MappedFile {
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
+  struct Options {
+    const char* kind = "index file";  ///< names the file in error messages
+    /// Return an inactive (empty) mapping for a 0-byte file instead of
+    /// throwing ParseError.
+    bool allow_empty = false;
+    /// Fault every page in up front (MAP_POPULATE where available), for
+    /// inputs read front to back exactly once.
+    bool populate = false;
+  };
+
   /// Maps `path` read-only. Throws IoError on open/map failure,
-  /// ParseError on an empty file.
-  static MappedFile map(const std::string& path);
+  /// ParseError on an empty file unless `options.allow_empty`.
+  static MappedFile map(const std::string& path, const Options& options);
+  static MappedFile map(const std::string& path) { return map(path, {}); }
 
   /// False when the platform has no mmap; callers fall back to streams.
   static bool supported();

@@ -286,4 +286,16 @@ usize FastqBlockReader::read_batch(ReadBatch& batch, usize max_reads) {
   return appended;
 }
 
+FastqTally tally_fastq(std::string_view data) {
+  FastqBlockReader reader(data);
+  ReadBatch batch;  // recycled: the arena holds one batch, not the input
+  FastqTally tally;
+  while (reader.read_batch(batch, 1024) > 0) {
+    tally.bases += batch.bases();
+    batch.clear();
+  }
+  tally.reads = reader.records_read();
+  return tally;
+}
+
 }  // namespace staratlas

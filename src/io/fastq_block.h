@@ -83,4 +83,17 @@ class FastqBlockReader {
   u64 bytes_ = 0;
 };
 
+/// Record and base totals of one whole FASTQ buffer.
+struct FastqTally {
+  u64 reads = 0;
+  u64 bases = 0;
+};
+
+/// Parses all of `data` with FastqBlockReader, keeping only the totals:
+/// exactly the records a streaming parse of the same bytes yields, and the
+/// same ParseError on the first malformed record wherever it lies. For
+/// callers that need a sample's size before streaming it (an early-stop
+/// checkpoint is a fraction of the total).
+FastqTally tally_fastq(std::string_view data);
+
 }  // namespace staratlas

@@ -73,6 +73,7 @@ class ReadBatch {
     arena_.clear();
     records_.clear();
     fastq_bytes_ = 0;
+    bases_ = 0;
   }
 
   void reserve(usize num_reads, usize arena_bytes) {
@@ -125,10 +126,14 @@ class ReadBatch {
     records_.push_back({offset, name_len, seq_len});
     // Serialized 4-line form: '@' name '\n' seq '\n' "+\n" qual '\n'.
     fastq_bytes_ += 1 + name_len + 1 + seq_len + 1 + 2 + seq_len + 1;
+    bases_ += seq_len;
   }
 
   /// Exact serialized size of the contained records' 4-line FASTQ form.
   u64 fastq_bytes() const { return fastq_bytes_; }
+
+  /// Total sequence length of the contained records.
+  u64 bases() const { return bases_; }
 
   /// Allocated footprint (capacity, not size) — what a recycled batch
   /// permanently holds; the engine sums this for its peak-memory bound.
@@ -146,6 +151,7 @@ class ReadBatch {
   ByteArena arena_;
   std::vector<Record> records_;
   u64 fastq_bytes_ = 0;
+  u64 bases_ = 0;
 };
 
 }  // namespace staratlas

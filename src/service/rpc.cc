@@ -8,10 +8,13 @@
 #include <cerrno>
 #include <cstring>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/error.h"
 #include "common/stats.h"
 #include "io/fastq.h"
+#include "io/fastq_block.h"
 #include "service/artifacts.h"
 
 namespace staratlas {
@@ -103,6 +106,25 @@ std::string render_metrics(const AlignmentService::Metrics& metrics) {
   return out.str();
 }
 
+/// Parses a SUBMIT payload in place with the block parser: the same
+/// records and the same ParseError text as the getline reader, without
+/// copying the payload into a stream first.
+ReadSet parse_submission(std::string_view payload) {
+  FastqBlockReader reader(payload);
+  ReadBatch batch;
+  std::vector<FastqRecord> records;
+  while (reader.read_batch(batch, 1024) > 0) {
+    for (usize i = 0; i < batch.size(); ++i) {
+      records.push_back({std::string(batch.name(i)),
+                         std::string(batch.sequence(i)),
+                         std::string(batch.quality(i))});
+    }
+    batch.clear();
+  }
+  return make_read_set(std::move(records),
+                       ByteSize(reader.serialized_bytes()));
+}
+
 int connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -157,6 +179,10 @@ ServiceServer::~ServiceServer() { stop(); }
 
 void ServiceServer::stop() {
   if (stopping_.exchange(true)) return;
+  {
+    std::lock_guard lock(drain_mu_);  // wakes wait_for_drain()
+  }
+  drain_cv_.notify_all();
   // Shutting down the listening socket pops accept() with an error (the
   // fd is closed only after the acceptor exits — closing an fd another
   // thread is blocked on races against fd reuse); shutting down client
@@ -176,6 +202,11 @@ void ServiceServer::stop() {
   }
   for (auto& thread : connections) thread.join();
   ::unlink(socket_path_.c_str());
+}
+
+void ServiceServer::wait_for_drain() {
+  std::unique_lock lock(drain_mu_);
+  drain_cv_.wait(lock, [this] { return drain_answered_ || stopping_.load(); });
 }
 
 void ServiceServer::accept_loop() {
@@ -207,7 +238,13 @@ void ServiceServer::serve_connection(int fd) {
       if (!send_ok(fd, render_metrics(service_->metrics()))) break;
     } else if (verb == "DRAIN") {
       service_->drain();
-      if (!send_ok(fd, "")) break;
+      const bool sent = send_ok(fd, "");
+      {
+        std::lock_guard lock(drain_mu_);
+        drain_answered_ = true;
+      }
+      drain_cv_.notify_all();
+      if (!sent) break;
     } else if (verb == "SUBMIT") {
       std::string tenant;
       std::string name;
@@ -223,8 +260,7 @@ void ServiceServer::serve_connection(int fd) {
       submission.tenant = std::move(tenant);
       submission.name = std::move(name);
       try {
-        std::istringstream fastq(payload);
-        submission.reads = make_read_set(read_fastq(fastq));
+        submission.reads = parse_submission(payload);
       } catch (const Error& e) {
         if (!send_err(fd, "parse_error", e.what())) break;
         continue;

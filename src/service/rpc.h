@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -54,6 +55,12 @@ class ServiceServer {
   /// the service owner does that). Idempotent.
   void stop();
 
+  /// Blocks until a DRAIN request has been answered (its OK sent, or its
+  /// client gone) or the server is stopped. An owner that exits on DRAIN
+  /// waits here before stop(), which would otherwise shut down the DRAIN
+  /// connection before the handler has replied.
+  void wait_for_drain();
+
  private:
   void accept_loop();
   void serve_connection(int fd);
@@ -67,6 +74,9 @@ class ServiceServer {
   std::mutex mu_;  ///< connection registry
   std::vector<int> open_fds_;
   std::vector<std::thread> connections_;
+  std::mutex drain_mu_;
+  std::condition_variable drain_cv_;
+  bool drain_answered_ = false;  ///< guarded by drain_mu_
 };
 
 /// One connection to a ServiceServer. Methods are synchronous and must

@@ -9,8 +9,12 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
+#include "align/aligner.h"
 #include "align/engine.h"
+#include "align/sam.h"
 #include "align/sharded.h"
 #include "common/error.h"
 #include "io/fastq.h"
@@ -228,6 +232,122 @@ TEST(RunRequest, UserCallbackStillSeesSnapshots) {
   };
   engine.execute(request);
   EXPECT_GT(snapshots, 0u);
+}
+
+// The SAM oracle: every read re-aligned on its own and written through
+// SamWriter, the single-threaded second pass the engine's in-run SAM
+// rendering replaces. Returns the records of the first `num_reads` reads
+// (no header) and their count.
+std::pair<std::string, u64> per_read_sam(const ReadSet& reads,
+                                         usize num_reads) {
+  const auto& w = world();
+  std::ostringstream header_only;
+  SamWriter header_writer(header_only, w.index111);
+  std::ostringstream out;
+  SamWriter writer(out, w.index111);
+  const Aligner aligner(w.index111, AlignerParams{});
+  MappingStats scratch;
+  for (usize r = 0; r < num_reads; ++r) {
+    writer.write_read(reads.reads[r],
+                      aligner.align(reads.reads[r].sequence, scratch));
+  }
+  return {out.str().substr(header_only.str().size()),
+          writer.records_written()};
+}
+
+TEST(RunRequest, SamSinkMatchesPerReadWriterInEveryMode) {
+  const auto& w = world();
+  const ReadSet reads = sample_reads(300, 5);
+  const std::string fastq = to_fastq(reads);
+  const auto [expect, expect_records] = per_read_sam(reads, reads.size());
+  ASSERT_GT(expect_records, reads.size() / 2);
+
+  for (const usize threads : {1, 4}) {
+    AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                           engine_config(threads));
+    for (const usize shards : {1, 3}) {
+      for (const bool from_text : {true, false}) {
+        if (shards > 1 && !from_text) continue;
+        std::string got;
+        u64 records = 0;
+        EngineRunRequest request;
+        if (from_text) {
+          request.fastq_text = fastq;
+        } else {
+          request.reads = &reads;
+        }
+        request.num_shards = shards;
+        request.batch_reads = 64;
+        request.sam = [&](std::string_view text, u64 count) {
+          got += text;
+          records += count;
+        };
+        engine.execute(request);
+        EXPECT_EQ(got, expect) << threads << " threads, " << shards
+                               << " shards, text " << from_text;
+        EXPECT_EQ(records, expect_records);
+      }
+    }
+  }
+}
+
+TEST(RunRequest, SamSinkStopsAtTheAbortPoint) {
+  const auto& w = world();
+  const ReadSet reads =
+      w.simulator->simulate(single_cell_profile(), 1200, Rng(99));
+  const std::string fastq = to_fastq(reads);
+  for (const bool from_text : {true, false}) {
+    for (const usize threads : {1, 4}) {
+      AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                             engine_config(threads));
+      std::string got;
+      u64 records = 0;
+      EngineRunRequest request;
+      if (from_text) {
+        request.fastq_text = fastq;
+        request.total_reads_hint = reads.size();
+      } else {
+        request.reads = &reads;
+      }
+      request.early_stop = EarlyStopPolicy{};
+      request.sam = [&](std::string_view text, u64 count) {
+        got += text;
+        records += count;
+      };
+      const AlignmentRun run = engine.execute(request);
+      ASSERT_TRUE(run.aborted);
+      ASSERT_LT(run.stats.processed, reads.size());
+      // Exactly the committed reads' records, none from units aligned
+      // past the abort.
+      const auto [expect, expect_records] =
+          per_read_sam(reads, run.stats.processed);
+      EXPECT_EQ(got, expect) << threads << " threads, text " << from_text;
+      EXPECT_EQ(records, expect_records);
+    }
+  }
+}
+
+TEST(RunRequest, ReportsInputReadsAndBases) {
+  const auto& w = world();
+  const ReadSet reads = sample_reads(250, 8);
+  const std::string fastq = to_fastq(reads);
+  u64 bases = 0;
+  for (const FastqRecord& read : reads.reads) bases += read.sequence.size();
+  AlignmentEngine engine(w.index111, &w.synthesizer->annotation(),
+                         engine_config());
+
+  EngineRunRequest from_text;
+  from_text.fastq_text = fastq;
+  EngineRunRequest in_memory;
+  in_memory.reads = &reads;
+  EngineRunRequest sharded;
+  sharded.fastq_text = fastq;
+  sharded.num_shards = 3;
+  for (const EngineRunRequest* request : {&from_text, &in_memory, &sharded}) {
+    const AlignmentRun run = engine.execute(*request);
+    EXPECT_EQ(run.input_reads, reads.size()) << to_string(request->resolved_mode());
+    EXPECT_EQ(run.input_bases, bases) << to_string(request->resolved_mode());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 
 namespace staratlas {
@@ -143,6 +146,57 @@ TEST(Annotation, FromGtfGeneWithoutExonsThrows) {
   f.end = 10;
   f.gene_id = "G";
   EXPECT_THROW(Annotation::from_gtf({f}, assembly), ParseError);
+}
+
+TEST(Annotation, FromGtfResolvesContigNamesWithoutSequence) {
+  std::string seq;
+  for (int i = 0; i < 25; ++i) seq += "ACGT";
+  const Assembly assembly("t", 1, AssemblyType::kToplevel,
+                          {{"1", ContigClass::kChromosome, seq},
+                           {"2", ContigClass::kChromosome, seq}});
+  Gene g1;
+  g1.id = "G1";
+  g1.name = "G1";
+  g1.contig = 1;
+  g1.strand = '+';
+  g1.exons = {{4, 12}, {20, 32}};
+  Gene g2 = g1;
+  g2.id = "G2";
+  g2.name = "G2";
+  g2.contig = 0;
+  const auto features = Annotation({g1, g2}).to_gtf(assembly);
+
+  // A bare name table (a loaded index's contigs) resolves exactly as the
+  // assembly does.
+  const Annotation by_assembly = Annotation::from_gtf(features, assembly);
+  const Annotation by_name = Annotation::from_gtf(
+      features, std::vector<std::string>{"1", "2"});
+  ASSERT_EQ(by_name.num_genes(), by_assembly.num_genes());
+  for (usize g = 0; g < by_name.num_genes(); ++g) {
+    EXPECT_EQ(by_name.gene(g).id, by_assembly.gene(g).id);
+    EXPECT_EQ(by_name.gene(g).contig, by_assembly.gene(g).contig);
+    ASSERT_EQ(by_name.gene(g).exons.size(), by_assembly.gene(g).exons.size());
+    for (usize e = 0; e < by_name.gene(g).exons.size(); ++e) {
+      EXPECT_EQ(by_name.gene(g).exons[e].start,
+                by_assembly.gene(g).exons[e].start);
+      EXPECT_EQ(by_name.gene(g).exons[e].end, by_assembly.gene(g).exons[e].end);
+    }
+  }
+
+  // An unknown contig fails with the assembly path's message.
+  std::string assembly_error;
+  try {
+    Annotation::from_gtf(features, tiny_assembly());
+  } catch (const InvalidArgument& e) {
+    assembly_error = e.what();
+  }
+  ASSERT_FALSE(assembly_error.empty());
+  try {
+    Annotation::from_gtf(features, std::vector<std::string>{"1"});
+    FAIL() << "unknown contig accepted";
+  } catch (const InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), assembly_error);
+  }
 }
 
 }  // namespace

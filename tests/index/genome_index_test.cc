@@ -1,14 +1,18 @@
 #include "index/genome_index.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "index/index_storage.h"
 #include "index/suffix_array.h"
 #include "testutil.h"
 
@@ -344,6 +348,42 @@ TEST(GenomeIndex, CustomLutK) {
   EXPECT_EQ(index.prefix_lut_k(), 4u);
   const MmpResult result = index.mmp("ACGTACGT");
   EXPECT_EQ(result.length, 8u);
+}
+
+TEST(MappedFile, EmptyFileIsAnErrorUnlessAllowed) {
+  if (!MappedFile::supported()) GTEST_SKIP();
+  const std::string path = ::testing::TempDir() + "staratlas_empty_" +
+                           std::to_string(::getpid()) + ".fastq";
+  { std::ofstream create(path); }
+  try {
+    MappedFile::map(path);
+    FAIL() << "empty file mapped";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("index file is empty"),
+              std::string::npos);
+  }
+  const MappedFile empty = MappedFile::map(
+      path, {.kind = "FASTQ file", .allow_empty = true, .populate = true});
+  EXPECT_FALSE(empty.active());
+  EXPECT_EQ(empty.size(), 0u);
+
+  // The kind names the file in errors.
+  try {
+    MappedFile::map(path + ".missing", {.kind = "FASTQ file"});
+    FAIL() << "missing file mapped";
+  } catch (const IoError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "io error: cannot open FASTQ file: " + path + ".missing");
+  }
+
+  { std::ofstream fill(path, std::ios::binary); fill << "@r\nAC\n+\nII\n"; }
+  const MappedFile filled = MappedFile::map(
+      path, {.kind = "FASTQ file", .allow_empty = true, .populate = true});
+  ASSERT_TRUE(filled.active());
+  EXPECT_EQ(std::string_view(reinterpret_cast<const char*>(filled.data()),
+                             filled.size()),
+            "@r\nAC\n+\nII\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

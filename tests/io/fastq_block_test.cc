@@ -172,5 +172,43 @@ TEST(FastqBlock, ErrorTextMatchesGetlineReader) {
   expect_same_error("@ok\nAC\n+\nII\n@bad\nACZT\n+\nIIII\n");  // residue
 }
 
+TEST(FastqBlock, TallyCountsExactlyWhatTheParserYields) {
+  const std::string text =
+      "@r1\nACGT\n+\nIIII\n\n@r2\r\nAC\r\n+\r\nII\r\n@r3\nACGTA\n+\nIIIII";
+  const FastqTally tally = tally_fastq(text);
+  const auto records = block_parse(text);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(tally.reads, records.size());
+  EXPECT_EQ(tally.bases, 4u + 2u + 5u);
+
+  const FastqTally empty = tally_fastq("");
+  EXPECT_EQ(empty.reads, 0u);
+  EXPECT_EQ(empty.bases, 0u);
+}
+
+TEST(FastqBlock, TallyRaisesTheParsersErrorWhereverTheBadRecordLies) {
+  // Thousands of good records first: the bad one lies far past any
+  // early-stop checkpoint, in a later batch than the first.
+  std::string text;
+  for (int i = 0; i < 3000; ++i) {
+    text += "@r" + std::to_string(i) + "\nACGTACGT\n+\nIIIIIIII\n";
+  }
+  text += "@bad\nACGT\n+\nII\n";
+  std::string getline_error;
+  try {
+    std::istringstream in(text);
+    read_fastq(in);
+  } catch (const ParseError& e) {
+    getline_error = e.what();
+  }
+  ASSERT_FALSE(getline_error.empty());
+  try {
+    tally_fastq(text);
+    FAIL() << "tally accepted malformed input";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), getline_error);
+  }
+}
+
 }  // namespace
 }  // namespace staratlas

@@ -187,5 +187,30 @@ TEST(ServiceRpc, ConnectToMissingSocketThrows) {
   EXPECT_THROW(ServiceClient("/tmp/staratlas_no_such_socket.sock"), IoError);
 }
 
+TEST(ServiceRpc, EveryDrainIsAnsweredBeforeTheOwnerStops) {
+  // A daemon owner stops the server as soon as a DRAIN was answered;
+  // stopping any earlier would cut the DRAIN connection before its OK.
+  for (int round = 0; round < 20; ++round) {
+    ServerFixture fx("drainloop");
+    std::thread owner([&fx] {
+      fx.server->wait_for_drain();
+      fx.server->stop();
+    });
+    ServiceClient client(fx.server->socket_path());
+    const auto response = client.drain();
+    owner.join();
+    EXPECT_TRUE(response.ok) << "round " << round;
+  }
+}
+
+TEST(ServiceRpc, RepeatedDrainsEachGetOk) {
+  ServerFixture fx("drains");
+  for (int i = 0; i < 5; ++i) {
+    ServiceClient client(fx.server->socket_path());
+    EXPECT_TRUE(client.drain().ok) << "drain " << i;
+  }
+  fx.server->wait_for_drain();  // already answered: returns at once
+}
+
 }  // namespace
 }  // namespace staratlas
